@@ -321,3 +321,50 @@ func TestCallerReply(t *testing.T) {
 		t.Errorf("reply env = %v", env)
 	}
 }
+
+// A slot whose reply is already buffered must be returned as a reply even
+// after an earlier slot expired the shared timer. With both select cases
+// ready, a plain select picks one at random, which reported about half of
+// the arrived replies as timeouts and falsely suspected live sites.
+func TestMulticastExpiredDeadlineKeepsBufferedReplies(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 3})
+	defer net.Close()
+	echoSite(t, net, 1)
+	if _, err := net.Endpoint(2); err != nil { // silent peer
+		t.Fatal(err)
+	}
+	c := callerAt(t, net, 0, 5*time.Millisecond)
+	const live = 7
+	calls := []Outcall{{To: 2, Body: &msg.Commit{Txn: 1}}}
+	for i := 0; i < live; i++ {
+		calls = append(calls, Outcall{To: 1, Body: &msg.Commit{Txn: core.TxnID(2 + i)}})
+	}
+	for iter := 0; iter < 100; iter++ {
+		join := c.MulticastAsyncT(0, calls)
+		// Collect only once every live reply is buffered, so the only
+		// timing left is the silent slot expiring the shared deadline.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			c.mu.Lock()
+			pending := len(c.pending)
+			c.mu.Unlock()
+			if pending == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: %d slots still pending", iter, pending)
+			}
+		}
+		res := join()
+		if !errors.Is(res[0].Err, ErrTimeout) {
+			t.Fatalf("iteration %d: silent slot err = %v, want ErrTimeout", iter, res[0].Err)
+		}
+		for i, r := range res[1:] {
+			if r.Err != nil {
+				t.Fatalf("iteration %d: live slot %d err = %v, want its reply", iter, i+1, r.Err)
+			}
+			if got := r.Reply.Body.(*msg.CommitAck).Txn; got != calls[i+1].Body.(*msg.Commit).Txn {
+				t.Errorf("iteration %d: slot %d correlated to txn %d", iter, i+1, got)
+			}
+		}
+	}
+}

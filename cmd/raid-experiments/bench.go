@@ -96,26 +96,7 @@ func runBench(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Println()
-	fmt.Print(rep)
-
-	if *out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-
-	if *baseline != "" {
-		if err := checkBaseline(rep, *baseline, *minRatio); err != nil {
-			fmt.Fprintln(os.Stderr, "raid-experiments: bench:", err)
-			os.Exit(1)
-		}
-	}
+	finishBench(rep, *out, *baseline, "serial", *minRatio, func(r *experiment.BenchReport) *experiment.BenchMode { return r.Serial })
 }
 
 // runWANBenchCmd drives the -wan variant: rowaa vs epoch-batched commit
@@ -151,9 +132,18 @@ func runWANBenchCmd(profile, mode string, commitLen time.Duration, txns, sites, 
 	if out != "" {
 		mergeWANReport(rep, out)
 	}
+	finishBench(rep, out, baseline, "wan rowaa", minRatio, func(r *experiment.WANBenchReport) *experiment.BenchMode { return r.ROWAA })
+}
+
+// finishBench prints rep, writes it as JSON to out (unless empty) and,
+// with a baseline path, gates the anchor pass's throughput against the
+// same pass of the committed report there: the anchor has no batching or
+// interleaving to hide a protocol- or storage-layer slowdown behind,
+// while minRatio absorbs runner-to-runner hardware variance. Any failure
+// exits non-zero.
+func finishBench[R fmt.Stringer](rep R, out, baseline, anchorName string, minRatio float64, anchor func(R) *experiment.BenchMode) {
 	fmt.Println()
 	fmt.Print(rep)
-
 	if out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -164,12 +154,12 @@ func runWANBenchCmd(profile, mode string, commitLen time.Duration, txns, sites, 
 		}
 		fmt.Printf("wrote %s\n", out)
 	}
-
-	if baseline != "" {
-		if err := checkWANBaseline(rep, baseline, minRatio); err != nil {
-			fmt.Fprintln(os.Stderr, "raid-experiments: bench:", err)
-			os.Exit(1)
-		}
+	if baseline == "" {
+		return
+	}
+	if err := checkBaseline(rep, baseline, anchorName, minRatio, anchor); err != nil {
+		fmt.Fprintln(os.Stderr, "raid-experiments: bench:", err)
+		os.Exit(1)
 	}
 }
 
@@ -209,57 +199,31 @@ func mergeWANReport(rep *experiment.WANBenchReport, path string) {
 	}
 }
 
-// checkWANBaseline compares the rowaa pass against a committed
-// BENCH_wan.json. The per-transaction pass is the regression anchor for
-// the same reason the serial pass anchors the soak bench: no batching to
-// hide a protocol slowdown behind.
-func checkWANBaseline(rep *experiment.WANBenchReport, path string, minRatio float64) error {
+// checkBaseline compares the anchor pass's throughput against the same
+// pass of the committed report at path.
+func checkBaseline[R any](rep R, path, name string, minRatio float64, anchor func(R) *experiment.BenchMode) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-	var base experiment.WANBenchReport
+	var base R
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	if base.ROWAA == nil || base.ROWAA.OpsPerSec <= 0 {
-		return fmt.Errorf("baseline %s has no rowaa ops/sec", path)
+	want := anchor(base)
+	if want == nil || want.OpsPerSec <= 0 {
+		return fmt.Errorf("baseline %s has no %s ops/sec", path, name)
 	}
-	if rep.ROWAA == nil {
-		return fmt.Errorf("no rowaa pass in this run to compare against the baseline")
+	got := anchor(rep)
+	if got == nil {
+		return fmt.Errorf("no %s pass in this run to compare against the baseline", name)
 	}
-	floor := base.ROWAA.OpsPerSec * minRatio
-	if rep.ROWAA.OpsPerSec < floor {
-		return fmt.Errorf("wan rowaa throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
-			rep.ROWAA.OpsPerSec, floor, minRatio*100, base.ROWAA.OpsPerSec)
+	floor := want.OpsPerSec * minRatio
+	if got.OpsPerSec < floor {
+		return fmt.Errorf("%s throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
+			name, got.OpsPerSec, floor, minRatio*100, want.OpsPerSec)
 	}
-	fmt.Printf("baseline check: wan rowaa %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
-		rep.ROWAA.OpsPerSec, floor, minRatio*100, base.ROWAA.OpsPerSec)
-	return nil
-}
-
-// checkBaseline compares serial throughput against a committed report. The
-// serial pass is the regression anchor: it has no concurrency to hide a
-// slowdown behind, so a protocol- or storage-layer regression shows up in
-// it directly, while minRatio absorbs runner-to-runner hardware variance.
-func checkBaseline(rep *experiment.BenchReport, path string, minRatio float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base experiment.BenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if base.Serial == nil || base.Serial.OpsPerSec <= 0 {
-		return fmt.Errorf("baseline %s has no serial ops/sec", path)
-	}
-	floor := base.Serial.OpsPerSec * minRatio
-	if rep.Serial.OpsPerSec < floor {
-		return fmt.Errorf("serial throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
-			rep.Serial.OpsPerSec, floor, minRatio*100, base.Serial.OpsPerSec)
-	}
-	fmt.Printf("baseline check: serial %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
-		rep.Serial.OpsPerSec, floor, minRatio*100, base.Serial.OpsPerSec)
+	fmt.Printf("baseline check: %s %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
+		name, got.OpsPerSec, floor, minRatio*100, want.OpsPerSec)
 	return nil
 }

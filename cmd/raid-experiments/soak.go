@@ -82,7 +82,7 @@ func runSoak(args []string) {
 	if *fabric == "proc" {
 		// Chaos probabilities and the transport selector are in-process
 		// knobs; clear their defaults so only an explicit request reaches
-		// the proc validator (which explains why it cannot honor them).
+		// the fabric's capability check (which names what it cannot honor).
 		set := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if !set["drop"] {

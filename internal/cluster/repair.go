@@ -13,18 +13,23 @@ import (
 // site-to-site links, which may be chaotic). Returns the number of
 // blocked attempts retried.
 func (c *Manager) RecoverWithRetry(id core.SiteID, ackTimeout time.Duration) (int, error) {
-	const attempts = 8
-	var err error
-	for i := 0; i < attempts; i++ {
-		if _, err = c.Recover(id); err == nil {
-			return i, nil
-		}
-		if !errors.Is(err, ErrRecoveryBlocked) {
-			return i, err
-		}
+	_, err := c.Recover(id)
+	return c.RetryBlockedRecovery(id, err, ackTimeout)
+}
+
+// RetryBlockedRecovery repeats the recovery order for id, half an ack
+// timeout apart, while err (the previous attempt's outcome) reports it
+// blocked, up to eight attempts in all. A deployment that restarts the
+// site itself first (re-exec with WAL replay) makes that the first
+// attempt and hands its error here. Returns the number of retries and
+// the last attempt's error.
+func (c *Manager) RetryBlockedRecovery(id core.SiteID, err error, ackTimeout time.Duration) (int, error) {
+	retries := 0
+	for ; retries < 7 && errors.Is(err, ErrRecoveryBlocked); retries++ {
 		time.Sleep(ackTimeout / 2)
+		_, err = c.Recover(id)
 	}
-	return attempts, err
+	return retries, err
 }
 
 // RepairFalseSuspicions probes every truly-up site's session vector and,

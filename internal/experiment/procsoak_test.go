@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -57,24 +58,48 @@ func TestProcSoakCrashCycles(t *testing.T) {
 	}
 }
 
-// TestProcSoakRejectsInProcessMechanisms pins the validation boundary:
-// chaos, partitions, scrub, the in-process WAL carry and the memory
-// transport are simulation-side mechanisms and must be refused, not
-// silently ignored, under the process fabric.
+// TestProcSoakRejectsInProcessMechanisms pins the capability boundary:
+// chaos, partitions, WAN links, epoch commit, scrub, the in-process WAL
+// carry and the memory transport are simulation-side mechanisms and must
+// be refused, not silently ignored, under the process fabric — with one
+// error naming every such option that was set.
 func TestProcSoakRejectsInProcessMechanisms(t *testing.T) {
 	base := SoakConfig{Fabric: "proc", Seeds: []int64{1}}
-	bad := []func(*SoakConfig){
-		func(c *SoakConfig) { c.Chaos.Drop = 0.1 },
-		func(c *SoakConfig) { c.Partitions = true },
-		func(c *SoakConfig) { c.Scrub = true },
-		func(c *SoakConfig) { c.Transport = "memory" },
-		func(c *SoakConfig) { c.WALDir = t.TempDir() },
+	bad := map[string]func(*SoakConfig){
+		"Chaos":       func(c *SoakConfig) { c.Chaos.Drop = 0.1 },
+		"Partitions":  func(c *SoakConfig) { c.Partitions = true },
+		"WANProfile":  func(c *SoakConfig) { c.WANProfile = "wan3" },
+		"CommitEpoch": func(c *SoakConfig) { c.CommitEpoch = 2 * time.Millisecond },
+		"Scrub":       func(c *SoakConfig) { c.Scrub = true },
+		"Transport":   func(c *SoakConfig) { c.Transport = "memory" },
+		"WALDir":      func(c *SoakConfig) { c.WALDir = t.TempDir() },
 	}
-	for i, mutate := range bad {
+	all := base
+	for name, mutate := range bad {
 		cfg := base
 		mutate(&cfg)
-		if _, err := RunSoak(cfg); err == nil {
-			t.Errorf("case %d: in-process mechanism accepted under proc fabric", i)
+		mutate(&all)
+		_, err := RunSoak(cfg)
+		if err == nil {
+			t.Errorf("%s: in-process mechanism accepted under proc fabric", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error does not name the option: %v", name, err)
+		}
+		for other := range bad {
+			if other != name && strings.Contains(err.Error(), other) {
+				t.Errorf("%s: error names %s, which was not set: %v", name, other, err)
+			}
+		}
+	}
+	_, err := RunSoak(all)
+	if err == nil {
+		t.Fatal("every in-process mechanism at once accepted under proc fabric")
+	}
+	for name := range bad {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("combined error does not name %s: %v", name, err)
 		}
 	}
 	if _, err := RunSoak(SoakConfig{Fabric: "bogus"}); err == nil {

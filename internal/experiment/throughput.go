@@ -6,12 +6,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
-	"minraid/internal/msg"
 	"minraid/internal/storage"
 	"minraid/internal/workload"
 )
@@ -170,12 +168,27 @@ func RunSoakBench(cfg SoakBenchConfig) (*BenchReport, error) {
 		report.LatencySource = "scheduled-arrival"
 	}
 
-	var err error
-	if report.Serial, err = runBenchMode(cfg, filepath.Join(dir, "serial"), 1, false); err != nil {
-		return nil, fmt.Errorf("experiment: bench serial pass: %w", err)
+	ccfg := cfg.Base.clusterConfig()
+	ccfg.LockWaitBudget = cfg.LockWaitBudget
+	pass := func(name string, degree int, groupCommit bool) (*BenchMode, error) {
+		p := benchPass{Mode: "serial", Dir: filepath.Join(dir, name), Base: cfg.Base,
+			Txns: cfg.Txns, Degree: degree, Rate: cfg.Rate, GroupCommit: groupCommit}
+		ccfg.ConcurrentTxns = 0
+		if degree > 1 {
+			p.Mode, ccfg.ConcurrentTxns = "concurrent", degree
+		}
+		m, err := runBenchPass(ccfg, p, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: bench %s pass: %w", name, err)
+		}
+		return m, nil
 	}
-	if report.Concurrent, err = runBenchMode(cfg, filepath.Join(dir, "concurrent"), cfg.Concurrency, true); err != nil {
-		return nil, fmt.Errorf("experiment: bench concurrent pass: %w", err)
+	var err error
+	if report.Serial, err = pass("serial", 1, false); err != nil {
+		return nil, err
+	}
+	if report.Concurrent, err = pass("concurrent", cfg.Concurrency, true); err != nil {
+		return nil, err
 	}
 	if report.Serial.OpsPerSec > 0 {
 		report.SpeedupX = report.Concurrent.OpsPerSec / report.Serial.OpsPerSec
@@ -183,16 +196,31 @@ func RunSoakBench(cfg SoakBenchConfig) (*BenchReport, error) {
 	return report, nil
 }
 
-// runBenchMode runs one pass: a fresh cluster over durably-logged stores
-// (Sync on; GroupCommit per mode), driven by the open-loop driver with the
-// pass's in-flight bound.
-func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool) (*BenchMode, error) {
-	base := cfg.Base
-	ccfg := base.clusterConfig()
-	if degree > 1 {
-		ccfg.ConcurrentTxns = degree
-	}
-	ccfg.LockWaitBudget = cfg.LockWaitBudget
+// benchPass is what one bench pass adds to its cluster configuration: the
+// workload and the driver settings.
+type benchPass struct {
+	// Mode labels the pass in the report.
+	Mode string
+	// Dir holds the pass's write-ahead-logged stores.
+	Dir string
+	// Base supplies the workload: seed, sites, items, operations per
+	// transaction and read mix.
+	Base Config
+	// Txns is the workload length; Degree the open-loop in-flight bound;
+	// Rate, when positive, paces arrivals and switches the reported
+	// latency to scheduled-arrival.
+	Txns, Degree int
+	Rate         float64
+	// GroupCommit batches concurrent WAL appends into one fsync.
+	GroupCommit bool
+}
+
+// runBenchPass runs one pass: a fresh cluster from ccfg over durably-logged
+// stores (Sync on, group commit per pass), driven through a pre-generated
+// stream by the open-loop driver, then audited after waiting settle for
+// in-flight work the clients no longer wait on.
+func runBenchPass(ccfg cluster.Config, p benchPass, settle time.Duration) (*BenchMode, error) {
+	base := p.Base
 	var walStores []*storage.WALStore
 	defer func() {
 		for _, s := range walStores {
@@ -201,10 +229,10 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 	}()
 	ccfg.StoreFactory = func(id core.SiteID) (storage.Store, error) {
 		s, err := storage.OpenWAL(storage.WALOptions{
-			Dir:         filepath.Join(dir, fmt.Sprintf("site%d", id)),
+			Dir:         filepath.Join(p.Dir, fmt.Sprintf("site%d", id)),
 			Items:       base.Items,
 			Sync:        true,
-			GroupCommit: groupCommit,
+			GroupCommit: p.GroupCommit,
 		})
 		if err != nil {
 			return nil, err
@@ -218,11 +246,11 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 	}
 	defer c.Close()
 
-	// Pre-generate the stream so both passes issue bit-identical work:
+	// Pre-generate the stream so every pass issues bit-identical work:
 	// IDs are allocated serially here, not inside the racing closures.
 	gen := workload.NewUniform(base.Items, base.MaxOps, base.Seed)
 	gen.ReadFraction = base.ReadFraction
-	issues := make([]soakIssue, cfg.Txns)
+	issues := make([]soakIssue, p.Txns)
 	for i := range issues {
 		id := c.NextTxnID()
 		issues[i] = soakIssue{
@@ -232,42 +260,18 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 			ops:   gen.Next(id),
 		}
 	}
+	outs, service, res, err := execIssues(c.Manager, issues, p.Rate, p.Degree)
+	if err != nil {
+		return nil, err
+	}
 
 	mode := &BenchMode{
-		Mode:         "serial",
-		Concurrency:  degree,
-		GroupCommit:  groupCommit,
-		Txns:         cfg.Txns,
+		Mode:         p.Mode,
+		Concurrency:  p.Degree,
+		GroupCommit:  p.GroupCommit,
+		Txns:         p.Txns,
 		AbortReasons: make(map[string]int),
 	}
-	if degree > 1 {
-		mode.Mode = "concurrent"
-	}
-
-	outs := make([]*msg.TxnResult, len(issues))
-	service := make([]time.Duration, len(issues))
-	var execMu sync.Mutex
-	var execErr error
-	ol := &workload.OpenLoop{Rate: cfg.Rate, Count: len(issues), MaxInFlight: degree}
-	res := ol.Run(func(i int) {
-		iss := issues[i]
-		st := time.Now()
-		out, err := c.ExecTxn(iss.coord, iss.id, iss.ops)
-		service[i] = time.Since(st)
-		if err != nil {
-			execMu.Lock()
-			if execErr == nil {
-				execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
-			}
-			execMu.Unlock()
-			return
-		}
-		outs[i] = out
-	})
-	if execErr != nil {
-		return nil, execErr
-	}
-
 	for _, out := range outs {
 		if out.Committed {
 			mode.Committed++
@@ -282,15 +286,16 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 	// lock contention.
 	mode.OpsPerSec = float64(mode.Committed) / res.Elapsed.Seconds()
 	lat := service
-	if cfg.Rate > 0 {
+	if p.Rate > 0 {
 		lat = res.Latencies
 	}
 	mode.P50Ms = pctileMs(lat, 0.50)
 	mode.P95Ms = pctileMs(lat, 0.95)
 	mode.P99Ms = pctileMs(lat, 0.99)
 
+	time.Sleep(settle)
 	// The bench injects no faults, so the pass must leave every replica
-	// identical — a correctness gate on the interleaved+batched regime.
+	// identical — a correctness gate on the regime under test.
 	report, err := c.Audit()
 	if err != nil {
 		return nil, err

@@ -5,16 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
-	"minraid/internal/cluster"
-	"minraid/internal/core"
 	"minraid/internal/geo"
-	"minraid/internal/msg"
-	"minraid/internal/storage"
 	"minraid/internal/transport"
-	"minraid/internal/workload"
 )
 
 // WANBenchConfig parameterizes the geo-replication commit bench: the same
@@ -80,18 +74,18 @@ func (c WANBenchConfig) withDefaults() WANBenchConfig {
 // transaction stream over the identical compiled link matrix; the only
 // difference is the commit protocol.
 type WANBenchReport struct {
-	Schema        string  `json:"schema"` // "minraid/bench_wan/v1"
-	Seed          int64   `json:"seed"`
-	Sites         int     `json:"sites"`
-	Items         int     `json:"items"`
-	MaxOps        int     `json:"max_ops"`
-	Profile       string  `json:"profile"`
-	Regions       string  `json:"regions"`
-	WANFingerprint uint64 `json:"wan_fingerprint"`
-	Concurrency   int     `json:"concurrency"`
-	CommitEpochMs float64 `json:"commit_epoch_ms"`
-	RateTxnPerSec float64 `json:"rate_txn_per_sec"` // 0 = unpaced
-	LatencySource string  `json:"latency_source"`
+	Schema         string  `json:"schema"` // "minraid/bench_wan/v1"
+	Seed           int64   `json:"seed"`
+	Sites          int     `json:"sites"`
+	Items          int     `json:"items"`
+	MaxOps         int     `json:"max_ops"`
+	Profile        string  `json:"profile"`
+	Regions        string  `json:"regions"`
+	WANFingerprint uint64  `json:"wan_fingerprint"`
+	Concurrency    int     `json:"concurrency"`
+	CommitEpochMs  float64 `json:"commit_epoch_ms"`
+	RateTxnPerSec  float64 `json:"rate_txn_per_sec"` // 0 = unpaced
+	LatencySource  string  `json:"latency_source"`
 	// ROWAA is the per-transaction commit pass, Epoch the batched one.
 	ROWAA *BenchMode `json:"rowaa"`
 	Epoch *BenchMode `json:"epoch"`
@@ -190,147 +184,41 @@ func runWANBench(cfg WANBenchConfig, doROWAA, doEpoch bool) (*WANBenchReport, er
 		report.LatencySource = "scheduled-arrival"
 	}
 
+	// Both passes run on the compiled link matrix alone (no drops, no
+	// dups — latency and wire cost only) over group-commit stores at the
+	// same degree; the epoch pass adds the commit batcher.
+	ccfg := cfg.Base.clusterConfig()
+	ccfg.Chaos = &transport.ChaosConfig{Seed: cfg.Base.Seed, Links: wan.Links, ExemptManager: true}
+	ccfg.ConcurrentTxns = cfg.Concurrency
+	ccfg.LockWaitBudget = cfg.LockWaitBudget
+	pass := func(mode string, commitEpoch time.Duration) (*BenchMode, error) {
+		ccfg.CommitEpoch = commitEpoch
+		// Epoch commit answers the client once the batch fan-out is on
+		// the wire; let in-flight CommitBatch deliveries cross the
+		// slowest link and apply before comparing copies.
+		var settle time.Duration
+		if commitEpoch > 0 {
+			settle = commitEpoch + 2*wan.MaxBaseDelay() + 200*time.Millisecond
+		}
+		m, err := runBenchPass(ccfg, benchPass{Mode: mode, Dir: filepath.Join(dir, mode), Base: cfg.Base,
+			Txns: cfg.Txns, Degree: cfg.Concurrency, Rate: cfg.Rate, GroupCommit: true}, settle)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: wan bench %s pass: %w", mode, err)
+		}
+		return m, nil
+	}
 	if doROWAA {
-		if report.ROWAA, err = runWANBenchMode(cfg, wan, filepath.Join(dir, "rowaa"), 0); err != nil {
-			return nil, fmt.Errorf("experiment: wan bench rowaa pass: %w", err)
+		if report.ROWAA, err = pass("rowaa", 0); err != nil {
+			return nil, err
 		}
 	}
 	if doEpoch {
-		if report.Epoch, err = runWANBenchMode(cfg, wan, filepath.Join(dir, "epoch"), cfg.CommitEpoch); err != nil {
-			return nil, fmt.Errorf("experiment: wan bench epoch pass: %w", err)
+		if report.Epoch, err = pass("epoch", cfg.CommitEpoch); err != nil {
+			return nil, err
 		}
 	}
 	if report.ROWAA != nil && report.Epoch != nil && report.ROWAA.OpsPerSec > 0 {
 		report.SpeedupX = report.Epoch.OpsPerSec / report.ROWAA.OpsPerSec
 	}
 	return report, nil
-}
-
-// runWANBenchMode runs one pass: a fresh cluster whose chaos layer is the
-// compiled WAN link matrix (no drops, no dups — latency and wire-cost
-// only), durably-logged group-commit stores, the open-loop driver at the
-// configured degree. commitEpoch zero runs stock ROWAA commit; positive
-// enables the epoch batcher.
-func runWANBenchMode(cfg WANBenchConfig, wan *geo.Compiled, dir string, commitEpoch time.Duration) (*BenchMode, error) {
-	base := cfg.Base
-	ccfg := base.clusterConfig()
-	chaosCfg := transport.ChaosConfig{
-		Seed:          base.Seed,
-		Links:         wan.Links,
-		ExemptManager: true,
-	}
-	ccfg.Chaos = &chaosCfg
-	ccfg.ConcurrentTxns = cfg.Concurrency
-	ccfg.LockWaitBudget = cfg.LockWaitBudget
-	ccfg.CommitEpoch = commitEpoch
-	var walStores []*storage.WALStore
-	defer func() {
-		for _, s := range walStores {
-			_ = s.Close()
-		}
-	}()
-	ccfg.StoreFactory = func(id core.SiteID) (storage.Store, error) {
-		s, err := storage.OpenWAL(storage.WALOptions{
-			Dir:         filepath.Join(dir, fmt.Sprintf("site%d", id)),
-			Items:       base.Items,
-			Sync:        true,
-			GroupCommit: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		walStores = append(walStores, s)
-		return s, nil
-	}
-	c, err := cluster.New(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	// Pre-generate the stream so both passes issue bit-identical work.
-	gen := workload.NewUniform(base.Items, base.MaxOps, base.Seed)
-	gen.ReadFraction = base.ReadFraction
-	issues := make([]soakIssue, cfg.Txns)
-	for i := range issues {
-		id := c.NextTxnID()
-		issues[i] = soakIssue{
-			num:   i + 1,
-			id:    id,
-			coord: core.SiteID(i % base.Sites),
-			ops:   gen.Next(id),
-		}
-	}
-
-	mode := &BenchMode{
-		Mode:         "rowaa",
-		Concurrency:  cfg.Concurrency,
-		GroupCommit:  true,
-		Txns:         cfg.Txns,
-		AbortReasons: make(map[string]int),
-	}
-	if commitEpoch > 0 {
-		mode.Mode = "epoch"
-	}
-
-	outs := make([]*msg.TxnResult, len(issues))
-	service := make([]time.Duration, len(issues))
-	var execMu sync.Mutex
-	var execErr error
-	ol := &workload.OpenLoop{Rate: cfg.Rate, Count: len(issues), MaxInFlight: cfg.Concurrency}
-	res := ol.Run(func(i int) {
-		iss := issues[i]
-		st := time.Now()
-		out, err := c.ExecTxn(iss.coord, iss.id, iss.ops)
-		service[i] = time.Since(st)
-		if err != nil {
-			execMu.Lock()
-			if execErr == nil {
-				execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
-			}
-			execMu.Unlock()
-			return
-		}
-		outs[i] = out
-	})
-	if execErr != nil {
-		return nil, execErr
-	}
-
-	for _, out := range outs {
-		if out.Committed {
-			mode.Committed++
-		} else {
-			mode.Aborted++
-			mode.AbortReasons[out.AbortReason]++
-		}
-	}
-	mode.ElapsedMs = float64(res.Elapsed) / float64(time.Millisecond)
-	mode.OpsPerSec = float64(mode.Committed) / res.Elapsed.Seconds()
-	lat := service
-	if cfg.Rate > 0 {
-		lat = res.Latencies
-	}
-	mode.P50Ms = pctileMs(lat, 0.50)
-	mode.P95Ms = pctileMs(lat, 0.95)
-	mode.P99Ms = pctileMs(lat, 0.99)
-
-	// Epoch commit answers the client once the batch fan-out is on the
-	// wire; let in-flight CommitBatch deliveries cross the slowest link
-	// and apply before comparing copies.
-	if commitEpoch > 0 {
-		time.Sleep(commitEpoch + 2*wan.MaxBaseDelay() + 200*time.Millisecond)
-	}
-
-	// No faults are injected, so the pass must leave every replica
-	// identical — the audit gate the epoch-batched commit has to clear
-	// at full concurrency before its throughput means anything.
-	report, err := c.Audit()
-	if err != nil {
-		return nil, err
-	}
-	if !report.OK() || report.StaleCopies != 0 {
-		return nil, fmt.Errorf("wan bench %s pass failed audit: %s", mode.Mode, report)
-	}
-	return mode, nil
 }

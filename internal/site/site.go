@@ -385,11 +385,11 @@ type Site struct {
 	// twice; replaying a Prepare after its Commit would re-stage the
 	// transaction and leak a decision timer that later fires as a
 	// spurious coordinator-failure announcement. A high-watermark check
-	// is NOT safe here: Caller assigns seqs atomically but sends outside
-	// any lock, so two concurrent calls on one caller can reach the wire
-	// out of order (concurrent mode multiplexes in-flight transactions
-	// over one caller) — a watermark would drop the late-arriving lower
-	// seq as a false duplicate. An exact-match window suffices because a
+	// would drop any lower seq that arrives after a higher one as a false
+	// duplicate, so it would hold only while every transport path keeps
+	// each sender's requests in sequence order (concurrent mode
+	// multiplexes in-flight transactions over one caller); the window
+	// does not depend on that. An exact-match window suffices because a
 	// chaos duplicate trails its original by at most the link's in-flight
 	// backlog. Replies bypass this (their Seq belongs to the requester's
 	// stream); Caller.Deliver already drops duplicate replies. Touched

@@ -189,7 +189,8 @@ func (t *TCP) readLoop(conn net.Conn) {
 }
 
 // dedup reports whether env is a duplicate of a message already delivered
-// from env.From. Sequence numbers are strictly increasing per sender, and a
+// from env.From. Sequence numbers are strictly increasing per sender (a
+// Caller hands its envelopes to the transport in sequence order), and a
 // sender retransmits only in order, so a non-increasing sequence number is
 // always a reconnect duplicate.
 func (t *TCP) dedup(env *msg.Envelope) bool {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -371,5 +372,51 @@ func TestTCPManyFrames(t *testing.T) {
 				t.Fatalf("frame %d byte %d = %d", i, j, v)
 			}
 		}
+	}
+}
+
+// Concurrent senders sharing one Caller must not lose messages to the
+// receiver's duplicate suppression: it drops any sequence number at or
+// below the highest seen from that sender, so sequence numbers must reach
+// each peer's connection in increasing order.
+func TestTCPConcurrentCallerSendsAllDelivered(t *testing.T) {
+	nets := newTCPMesh(t, 2)
+	a, _ := nets[0].Endpoint(0)
+	b, _ := nets[1].Endpoint(1)
+	c := NewCaller(a, time.Second)
+	const senders, each = 8, 200
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.Send(1, &msg.Commit{Txn: core.TxnID(s*each + i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	got := make(chan int)
+	go func() {
+		n := 0
+		for n < senders*each {
+			if _, ok := b.Recv(); !ok {
+				break
+			}
+			n++
+		}
+		got <- n
+	}()
+	select {
+	case n := <-got:
+		if n != senders*each {
+			t.Fatalf("received %d of %d messages", n, senders*each)
+		}
+	case <-time.After(5 * time.Second):
+		nets[1].Close()
+		t.Fatalf("received %d of %d messages", <-got, senders*each)
 	}
 }

@@ -23,8 +23,9 @@ import (
 // It runs the same seeded workload twice over durably-logged (fsync)
 // stores — once serially, once interleaved with WAL group commit — writes
 // the machine-readable BENCH_soak.json, and exits non-zero if either pass
-// fails its consistency audit or, with -baseline, if serial throughput
-// falls below min-ratio of the committed baseline's.
+// fails its consistency audit or, with -baseline, if either pass's
+// throughput falls below min-ratio of the same pass in the committed
+// baseline.
 //
 // With -wan the comparison changes axis: both passes run interleaved at
 // the same degree over the compiled WAN link matrix, once with
@@ -48,8 +49,8 @@ func runBench(args []string) {
 		commitMode = fs.String("commit", "both", "with -wan: both (one invocation, two passes), or rowaa / epoch (single pass, merged into the report at -o)")
 		commitLen  = fs.Duration("commit-epoch", 2*time.Millisecond, "with -wan: epoch length of the batched-commit pass")
 		out        = fs.String("o", "", "output path for the JSON report (default BENCH_soak.json, or BENCH_wan.json with -wan; empty after explicit -o=: stdout summary only)")
-		baseline   = fs.String("baseline", "", "committed report to regression-check throughput against (serial pass, or the rowaa pass with -wan)")
-		minRatio   = fs.Float64("min-ratio", 0.3, "fail if the anchor pass ops/sec < min-ratio x baseline's (generous: CI runners vary)")
+		baseline   = fs.String("baseline", "", "committed report to regression-check throughput against, pass by pass (serial and concurrent, or rowaa and epoch with -wan)")
+		minRatio   = fs.Float64("min-ratio", 0.3, "fail if any pass's ops/sec < min-ratio x the baseline's same pass (generous: CI runners vary)")
 	)
 	fs.Parse(args)
 	outSet, sitesSet, itemsSet := false, false, false
@@ -96,7 +97,9 @@ func runBench(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	finishBench(rep, *out, *baseline, "serial", *minRatio, func(r *experiment.BenchReport) *experiment.BenchMode { return r.Serial })
+	finishBench(rep, *out, *baseline, *minRatio, func(r *experiment.BenchReport) []benchPass {
+		return []benchPass{{"serial", r.Serial}, {"concurrent", r.Concurrent}}
+	})
 }
 
 // runWANBenchCmd drives the -wan variant: rowaa vs epoch-batched commit
@@ -132,16 +135,25 @@ func runWANBenchCmd(profile, mode string, commitLen time.Duration, txns, sites, 
 	if out != "" {
 		mergeWANReport(rep, out)
 	}
-	finishBench(rep, out, baseline, "wan rowaa", minRatio, func(r *experiment.WANBenchReport) *experiment.BenchMode { return r.ROWAA })
+	finishBench(rep, out, baseline, minRatio, func(r *experiment.WANBenchReport) []benchPass {
+		return []benchPass{{"wan rowaa", r.ROWAA}, {"wan epoch", r.Epoch}}
+	})
+}
+
+// benchPass is one named pass of a bench report; mode is nil when the
+// report lacks that pass.
+type benchPass struct {
+	name string
+	mode *experiment.BenchMode
 }
 
 // finishBench prints rep, writes it as JSON to out (unless empty) and,
-// with a baseline path, gates the anchor pass's throughput against the
-// same pass of the committed report there: the anchor has no batching or
-// interleaving to hide a protocol- or storage-layer slowdown behind,
-// while minRatio absorbs runner-to-runner hardware variance. Any failure
-// exits non-zero.
-func finishBench[R fmt.Stringer](rep R, out, baseline, anchorName string, minRatio float64, anchor func(R) *experiment.BenchMode) {
+// with a baseline path, gates the throughput of every pass against the
+// same pass of the committed report there: the passes being optimised
+// (concurrent, epoch) are gated as well as the serial anchor, while
+// minRatio absorbs runner-to-runner hardware variance. Any failure exits
+// non-zero.
+func finishBench[R fmt.Stringer](rep R, out, baseline string, minRatio float64, passes func(R) []benchPass) {
 	fmt.Println()
 	fmt.Print(rep)
 	if out != "" {
@@ -157,7 +169,7 @@ func finishBench[R fmt.Stringer](rep R, out, baseline, anchorName string, minRat
 	if baseline == "" {
 		return
 	}
-	if err := checkBaseline(rep, baseline, anchorName, minRatio, anchor); err != nil {
+	if err := checkBaseline(rep, baseline, minRatio, passes); err != nil {
 		fmt.Fprintln(os.Stderr, "raid-experiments: bench:", err)
 		os.Exit(1)
 	}
@@ -199,9 +211,10 @@ func mergeWANReport(rep *experiment.WANBenchReport, path string) {
 	}
 }
 
-// checkBaseline compares the anchor pass's throughput against the same
-// pass of the committed report at path.
-func checkBaseline[R any](rep R, path, name string, minRatio float64, anchor func(R) *experiment.BenchMode) error {
+// checkBaseline compares the throughput of each pass present in both rep
+// and the committed report at path, and fails if any falls below minRatio
+// of its baseline or if the two reports share no pass.
+func checkBaseline[R any](rep R, path string, minRatio float64, passes func(R) []benchPass) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
@@ -210,20 +223,24 @@ func checkBaseline[R any](rep R, path, name string, minRatio float64, anchor fun
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	want := anchor(base)
-	if want == nil || want.OpsPerSec <= 0 {
-		return fmt.Errorf("baseline %s has no %s ops/sec", path, name)
+	got, gated := passes(rep), 0
+	for i, b := range passes(base) {
+		g := got[i].mode
+		if b.mode == nil || b.mode.OpsPerSec <= 0 || g == nil {
+			continue
+		}
+		gated++
+		want, have := b.mode.OpsPerSec, g.OpsPerSec
+		floor := want * minRatio
+		if have < floor {
+			return fmt.Errorf("%s throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
+				b.name, have, floor, minRatio*100, want)
+		}
+		fmt.Printf("baseline check: %s %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
+			b.name, have, floor, minRatio*100, want)
 	}
-	got := anchor(rep)
-	if got == nil {
-		return fmt.Errorf("no %s pass in this run to compare against the baseline", name)
+	if gated == 0 {
+		return fmt.Errorf("baseline %s and this run have no pass with ops/sec in common", path)
 	}
-	floor := want.OpsPerSec * minRatio
-	if got.OpsPerSec < floor {
-		return fmt.Errorf("%s throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
-			name, got.OpsPerSec, floor, minRatio*100, want.OpsPerSec)
-	}
-	fmt.Printf("baseline check: %s %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
-		name, got.OpsPerSec, floor, minRatio*100, want.OpsPerSec)
 	return nil
 }

@@ -28,31 +28,28 @@ type MemoryConfig struct {
 // experiment exercises the real encoding path ("real transaction
 // processing on real sites with real message passing").
 //
-// Delivery is FIFO per (sender, receiver) link, satisfying the paper's
-// ordered-reliable-messaging assumption. Independent links proceed in
-// parallel, as Ethernet or the Unix IPC of the original system would.
+// A send pushes the encoded bytes straight onto the destination's single
+// inbox; the receiver's Recv holds each message until Delay after its send
+// and decodes it. Delivery is therefore FIFO per (sender, receiver) link,
+// satisfying the paper's ordered-reliable-messaging assumption, and Delay
+// is a per-message latency that messages from every sender pay
+// concurrently, as on Ethernet or the Unix IPC of the original system.
 type Memory struct {
 	cfg MemoryConfig
 
 	mu        sync.Mutex
 	endpoints map[core.SiteID]*memEndpoint
-	links     map[linkKey]*memLink
 	down      map[linkKey]bool
 	credits   map[linkKey]int // remaining deliveries before the link drops
 	closed    bool
 
 	sent   atomic.Uint64
 	tracer atomic.Pointer[trace.Recorder]
-	wg     sync.WaitGroup
 }
 
 type linkKey struct{ from, to core.SiteID }
 
-type memLink struct {
-	q *queue[memItem]
-}
-
-// memItem is one in-flight message on a link: the encoded bytes plus the
+// memItem is one in-flight message in an inbox: the encoded bytes plus the
 // moment it was sent, from which the delivery deadline is derived.
 type memItem struct {
 	buf []byte
@@ -67,7 +64,6 @@ func NewMemory(cfg MemoryConfig) *Memory {
 	return &Memory{
 		cfg:       cfg,
 		endpoints: make(map[core.SiteID]*memEndpoint),
-		links:     make(map[linkKey]*memLink),
 		down:      make(map[linkKey]bool),
 		credits:   make(map[linkKey]int),
 	}
@@ -83,12 +79,18 @@ func (m *Memory) Endpoint(id core.SiteID) (Endpoint, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	if ep, ok := m.endpoints[id]; ok {
-		return ep, nil
+	return m.endpointLocked(id), nil
+}
+
+// endpointLocked returns id's endpoint, creating it if neither Endpoint nor
+// a send to id has yet. Callers hold m.mu.
+func (m *Memory) endpointLocked(id core.SiteID) *memEndpoint {
+	ep, ok := m.endpoints[id]
+	if !ok {
+		ep = &memEndpoint{id: id, net: m, inbox: newQueue[memItem]()}
+		m.endpoints[id] = ep
 	}
-	ep := &memEndpoint{id: id, net: m, inbox: newQueue[*msg.Envelope]()}
-	m.endpoints[id] = ep
-	return ep, nil
+	return ep
 }
 
 // Close implements Network.
@@ -99,18 +101,10 @@ func (m *Memory) Close() error {
 		return nil
 	}
 	m.closed = true
-	for _, l := range m.links {
-		l.q.close()
-	}
-	eps := make([]*memEndpoint, 0, len(m.endpoints))
 	for _, ep := range m.endpoints {
-		eps = append(eps, ep)
-	}
-	m.mu.Unlock()
-	m.wg.Wait()
-	for _, ep := range eps {
 		ep.inbox.close()
 	}
+	m.mu.Unlock()
 	return nil
 }
 
@@ -154,8 +148,8 @@ func (m *Memory) valid(id core.SiteID) bool {
 	return id == core.ManagingSite || int(id) < m.cfg.Sites
 }
 
-// send enqueues encoded bytes on the from->to link, creating the link and
-// its delivery goroutine on first use.
+// send pushes encoded bytes onto to's inbox, creating the endpoint if
+// nobody has requested it yet so no message is lost to start-up order.
 func (m *Memory) send(from, to core.SiteID, buf []byte) error {
 	m.mu.Lock()
 	if m.closed {
@@ -174,65 +168,23 @@ func (m *Memory) send(from, to core.SiteID, buf []byte) error {
 		}
 		m.credits[key] = credits - 1
 	}
-	l, ok := m.links[key]
-	if !ok {
-		l = &memLink{q: newQueue[memItem]()}
-		m.links[key] = l
-		m.wg.Add(1)
-		go m.deliver(l, to)
-	}
+	ep := m.endpointLocked(to)
 	m.mu.Unlock()
-	// Count only messages the link actually accepted: a push that lost the
-	// race with Close is dropped during shutdown and must not inflate the
-	// experiments' message-complexity columns.
-	if l.q.push(memItem{buf: buf, at: time.Now()}) {
+	// The send time is taken under the inbox's lock, so deadlines never
+	// decrease along the inbox and Recv never holds one message past a
+	// later one's deadline. Count only messages the inbox accepted: a push
+	// that lost the race with Close must not inflate the experiments'
+	// message-complexity columns.
+	if ep.inbox.pushFunc(func() memItem { return memItem{buf: buf, at: time.Now()} }) {
 		m.sent.Add(1)
 	}
 	return nil
 }
 
-// deliver pumps one link: pops encoded messages in FIFO order, holds each
-// until its delivery deadline, decodes and hands the envelope to the
-// destination inbox.
-//
-// The deadline is sendTime + Delay, so Delay behaves as per-message
-// *latency*: k messages queued to one destination all complete after ~1
-// Delay, pipelined as they would be on a real wire. (Sleeping Delay per pop
-// instead would space deliveries Delay apart, turning the paper's 9 ms
-// per-message cost into a bandwidth limit of one message per 9 ms per
-// link.) Per-link FIFO order is preserved: the single goroutine delivers in
-// pop order, and send timestamps on a link are non-decreasing.
-func (m *Memory) deliver(l *memLink, to core.SiteID) {
-	defer m.wg.Done()
-	for {
-		it, ok := l.q.pop()
-		if !ok {
-			return
-		}
-		if m.cfg.Delay > 0 {
-			if d := m.cfg.Delay - time.Since(it.at); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		env, err := msg.Unmarshal(it.buf)
-		if err != nil {
-			// A memory link cannot corrupt data; an error here is a
-			// programming bug in the codec and must be loud.
-			panic(fmt.Sprintf("transport: undecodable message on memory link: %v", err))
-		}
-		m.mu.Lock()
-		ep := m.endpoints[to]
-		m.mu.Unlock()
-		if ep != nil {
-			ep.inbox.push(env)
-		}
-	}
-}
-
 type memEndpoint struct {
 	id    core.SiteID
 	net   *Memory
-	inbox *queue[*msg.Envelope]
+	inbox *queue[memItem]
 }
 
 // ID implements Endpoint.
@@ -248,8 +200,27 @@ func (ep *memEndpoint) Send(env *msg.Envelope) error {
 	return ep.net.send(ep.id, env.To, msg.Marshal(env))
 }
 
-// Recv implements Endpoint.
-func (ep *memEndpoint) Recv() (*msg.Envelope, bool) { return ep.inbox.pop() }
+// Recv implements Endpoint. It holds the oldest message until Delay after
+// its send and decodes it. Because every message in the inbox was sent no
+// earlier than the one ahead of it, the hold pipelines: k messages sent
+// together all arrive ~Delay after sending, not k×Delay, so Delay stays
+// the paper's per-message latency rather than a bandwidth limit.
+func (ep *memEndpoint) Recv() (*msg.Envelope, bool) {
+	it, ok := ep.inbox.pop()
+	if !ok {
+		return nil, false
+	}
+	if d := ep.net.cfg.Delay - time.Since(it.at); d > 0 {
+		time.Sleep(d)
+	}
+	env, err := msg.Unmarshal(it.buf)
+	if err != nil {
+		// A memory inbox cannot corrupt data; an error here is a
+		// programming bug in the codec and must be loud.
+		panic(fmt.Sprintf("transport: undecodable message in memory inbox: %v", err))
+	}
+	return env, true
+}
 
 // Close implements Endpoint.
 func (ep *memEndpoint) Close() error {

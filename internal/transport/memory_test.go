@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -289,4 +290,142 @@ func TestMemoryBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewMemory(MemoryConfig{Sites: 0})
+}
+
+// TestMemoryDelayPipelinesFanIn checks that Delay stays a per-message
+// latency when several senders share one destination inbox: a burst from
+// three senders all arrives about one Delay after sending, not one Delay
+// per queued message, and each sender's order is kept.
+func TestMemoryDelayPipelinesFanIn(t *testing.T) {
+	const (
+		d         = 20 * time.Millisecond
+		senders   = 3
+		perSender = 20
+	)
+	net := NewMemory(MemoryConfig{Sites: senders + 1, Delay: d})
+	defer net.Close()
+	dst, _ := net.Endpoint(senders)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		ep, _ := net.Endpoint(core.SiteID(s))
+		wg.Add(1)
+		go func(ep Endpoint) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				ep.Send(commitEnv(senders, core.TxnID(i), uint64(i+1)))
+			}
+		}(ep)
+	}
+	wg.Wait()
+	next := map[core.SiteID]core.TxnID{}
+	for i := 0; i < senders*perSender; i++ {
+		env, ok := dst.Recv()
+		if !ok {
+			t.Fatal("recv failed")
+		}
+		if got, want := env.Body.(*msg.Commit).Txn, next[env.From]; got != want {
+			t.Fatalf("sender %v: got txn %d, want %d", env.From, got, want)
+		}
+		next[env.From]++
+	}
+	if got := time.Since(start); got < d || got > 2*d {
+		t.Errorf("%d messages took %v to arrive, want between %v and %v", senders*perSender, got, d, 2*d)
+	}
+}
+
+// TestMemoryStartsNoLinkGoroutines checks that delivery needs no goroutine
+// per directed link: using every link of a 4-site network plus the
+// managing site leaves the goroutine count where it was.
+func TestMemoryStartsNoLinkGoroutines(t *testing.T) {
+	const sites = 4
+	net := NewMemory(MemoryConfig{Sites: sites})
+	defer net.Close()
+	ids := []core.SiteID{core.ManagingSite}
+	for s := 0; s < sites; s++ {
+		ids = append(ids, core.SiteID(s))
+	}
+	eps := map[core.SiteID]Endpoint{}
+	for _, id := range ids {
+		eps[id], _ = net.Endpoint(id)
+	}
+	before := runtime.NumGoroutine()
+	links := 0
+	for _, from := range ids {
+		for _, to := range ids {
+			if from == to {
+				continue
+			}
+			if err := eps[from].Send(commitEnv(to, 1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if env, ok := eps[to].Recv(); !ok || env.From != from {
+				t.Fatalf("link %v->%v delivered %v, %v", from, to, env, ok)
+			}
+			links++
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines went from %d to %d over %d links", before, after, links)
+	}
+}
+
+func TestMemoryCloseDrainsAcceptedMessages(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 2, Delay: 5 * time.Millisecond})
+	a, _ := net.Endpoint(0)
+	b, _ := net.Endpoint(1)
+	for i := 0; i < 3; i++ {
+		if err := a.Send(commitEnv(1, core.TxnID(i), uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Close()
+	for i := 0; i < 3; i++ {
+		env, ok := b.Recv()
+		if !ok {
+			t.Fatalf("message %d accepted before Close was lost", i)
+		}
+		if got := env.Body.(*msg.Commit).Txn; got != core.TxnID(i) {
+			t.Fatalf("message %d arrived as txn %d", i, got)
+		}
+	}
+	if _, ok := b.Recv(); ok {
+		t.Error("Recv returned ok after the drained inbox closed")
+	}
+}
+
+func TestMemoryDroppedMessagesNotCounted(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 2})
+	defer net.Close()
+	a, _ := net.Endpoint(0)
+	b, _ := net.Endpoint(1)
+	net.SetLinkDown(0, 1, true)
+	a.Send(commitEnv(1, 1, 1))
+	net.SetLinkDown(0, 1, false)
+	net.SetLinkDropAfter(0, 1, 1)
+	a.Send(commitEnv(1, 2, 2))
+	a.Send(commitEnv(1, 3, 3)) // over budget: dropped
+	if got := net.MessagesSent(); got != 1 {
+		t.Errorf("MessagesSent = %d, want 1 (only the in-budget message)", got)
+	}
+	if env, _ := b.Recv(); env.Body.(*msg.Commit).Txn != 2 {
+		t.Errorf("delivered txn %d, want 2", env.Body.(*msg.Commit).Txn)
+	}
+}
+
+func TestMemorySendBeforeEndpointRequested(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 2})
+	defer net.Close()
+	a, _ := net.Endpoint(0)
+	if err := a.Send(commitEnv(1, 7, 1)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := net.Endpoint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, ok := b.Recv()
+	if !ok || env.From != 0 || env.Body.(*msg.Commit).Txn != 7 {
+		t.Errorf("recv = %v, %v; want txn 7 from site 0", env, ok)
+	}
 }

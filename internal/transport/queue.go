@@ -29,7 +29,13 @@ func newQueue[T any]() *queue[T] {
 
 // push appends an item. Pushing to a closed queue drops the item and
 // reports false.
-func (q *queue[T]) push(item T) bool {
+func (q *queue[T]) push(item T) bool { return q.pushFunc(func() T { return item }) }
+
+// pushFunc appends the item mk returns, calling mk under the queue's lock
+// so that whatever mk reads at the moment of the push, such as the time,
+// is ordered as the queue is. Like push, it drops the item and reports
+// false on a closed queue, without calling mk.
+func (q *queue[T]) pushFunc(mk func() T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -43,7 +49,7 @@ func (q *queue[T]) push(item T) bool {
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	q.items = append(q.items, item)
+	q.items = append(q.items, mk())
 	q.cond.Signal()
 	return true
 }

@@ -77,7 +77,7 @@ func runBench(args []string) {
 			*sites = 0 // let the WAN bench default apply (6: two per wan3 region)
 		}
 		if !itemsSet {
-			*items = 0 // WAN bench default (256: measure the commit protocol, not deadlocks)
+			*items = 0 // WAN bench default (256: measure the commit protocol, not lock conflicts)
 		}
 		runWANBenchCmd(*wan, *commitMode, *commitLen, *txns, *sites, *items, *conc, *rate, *seed, *out, *baseline, *minRatio)
 		return

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"minraid/internal/core"
+	"minraid/internal/msg"
 	"minraid/internal/policy"
 	"minraid/internal/txn"
 	"minraid/internal/workload"
@@ -99,7 +100,7 @@ func TestConcurrentOppositeOrderWritersResolve(t *testing.T) {
 	// The classic deadlock shape: one client writes {1 then 2}, the other
 	// {2 then 1}, in single transactions locking both. Lock-order
 	// normalization inside a transaction (AcquireAll sorts) kills
-	// same-site cycles; cross-site interleavings resolve by timeout. The
+	// same-site cycles; cross-site interleavings resolve by wait-die. The
 	// system must never hang and must stay convergent.
 	c := concurrentCluster(t, 2, 4, 4)
 	var wg sync.WaitGroup
@@ -134,6 +135,78 @@ func TestConcurrentOppositeOrderWritersResolve(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("opposite-order writers hung (undetected distributed deadlock)")
 	}
+	report, err := c.Audit()
+	if err != nil || !report.OK() {
+		t.Errorf("audit: %v %v", report, err)
+	}
+}
+
+// TestConcurrentCrossSiteDeadlockDiesFast races two writers of one item,
+// one coordinated at each site, so each holds its local lock and then
+// requests the other's at the remote participant: a cycle no single site
+// can see. Wait-die must break it at once — the younger transaction
+// aborts as a deadlock victim and the older commits — instead of both
+// waiting out the lock budget.
+func TestConcurrentCrossSiteDeadlockDiesFast(t *testing.T) {
+	const (
+		rounds = 50
+		budget = time.Second
+	)
+	c := newTestCluster(t, Config{
+		Sites: 2, Items: rounds,
+		ConcurrentTxns: 2,
+		AckTimeout:     2 * budget,
+		LockWaitBudget: budget,
+	})
+	deaths := 0
+	for r := 0; r < rounds; r++ {
+		// A fresh item per round, so a lock a previous round's (older)
+		// transaction still holds for a moment cannot kill this round's.
+		item := core.ItemID(r)
+		older, younger := c.NextTxnID(), c.NextTxnID()
+		ids := [2]core.TxnID{older, younger}
+		if r%2 == 1 {
+			ids = [2]core.TxnID{younger, older} // alternate who coordinates where
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		results := make(map[core.TxnID]*msg.TxnResult, 2)
+		var mu sync.Mutex
+		for site, id := range ids {
+			wg.Add(1)
+			go func(site core.SiteID, id core.TxnID) {
+				defer wg.Done()
+				<-start
+				begin := time.Now()
+				res, err := c.ExecTxn(site, id, []core.Op{core.Write(item, []byte{byte(r), byte(site)})})
+				if elapsed := time.Since(begin); elapsed > budget/4 {
+					t.Errorf("round %d: txn %d took %v (lock budget %v)", r, id, elapsed, budget)
+				}
+				if err != nil {
+					t.Errorf("round %d: txn %d: %v", r, id, err)
+					return
+				}
+				mu.Lock()
+				results[id] = res
+				mu.Unlock()
+			}(core.SiteID(site), id)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if res := results[older]; !res.Committed {
+			t.Fatalf("round %d: older txn %d aborted: %q", r, older, res.AbortReason)
+		}
+		if res := results[younger]; !res.Committed {
+			if res.AbortReason != txn.AbortDeadlock {
+				t.Fatalf("round %d: younger txn %d aborted with %q, want %q", r, younger, res.AbortReason, txn.AbortDeadlock)
+			}
+			deaths++
+		}
+	}
+	t.Logf("%d of %d rounds ended in a wait-die abort", deaths, rounds)
 	report, err := c.Audit()
 	if err != nil || !report.OK() {
 		t.Errorf("audit: %v %v", report, err)

@@ -22,14 +22,15 @@ type ConcurrencyReport struct {
 	Rows                                 []ConcurrencyRow
 }
 
-// ConcurrencyRow is one sweep point. Lock-wait timeouts and deadlock
+// ConcurrencyRow is one sweep point. Lock-wait timeouts and wait-die
 // victims are reported separately: timeouts respond to the lock-wait
-// budget and the concurrency degree, deadlocks to the access pattern.
+// budget and slow or stalled holders, wait-die deaths to the access
+// pattern.
 type ConcurrencyRow struct {
 	Degree       int
 	Committed    int
 	LockAborts   int // lock-wait timeouts
-	Deadlocks    int // waits-for cycle victims
+	Deadlocks    int // wait-die victims: died rather than wait behind an older txn
 	Elapsed      time.Duration
 	TxnPerSecond float64
 }
@@ -39,7 +40,7 @@ func (r ConcurrencyReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: concurrent execution sweep (%d clients x %d txns, one coordinator, delay %v)\n",
 		r.Clients, r.TxnsPerClient, r.Delay)
-	fmt.Fprintf(&b, "  %8s %10s %13s %10s %10s %10s\n", "degree", "committed", "lock timeouts", "deadlocks", "elapsed", "txn/s")
+	fmt.Fprintf(&b, "  %8s %10s %13s %10s %10s %10s\n", "degree", "committed", "lock timeouts", "wait-die", "elapsed", "txn/s")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %8d %10d %13d %10d %10v %10.0f\n",
 			row.Degree, row.Committed, row.LockAborts, row.Deadlocks, row.Elapsed.Round(time.Millisecond), row.TxnPerSecond)

@@ -35,12 +35,12 @@ type SoakBenchConfig struct {
 	// Zero runs both passes unpaced for a peak-throughput comparison and
 	// reports per-transaction service latency instead.
 	Rate float64
-	// LockWaitBudget bounds per-site lock waits (default 25ms). Short is
-	// right here: replicated writes from different coordinators acquire
-	// the same item's copies in different site orders, and the resulting
-	// cross-site deadlocks are invisible to per-site detection — they
-	// resolve only by this timeout, so every extra millisecond of budget
-	// is a millisecond the deadlocked pair stalls the lock queues.
+	// LockWaitBudget bounds per-site lock waits (default 25ms).
+	// Replicated writes from different coordinators acquire the same
+	// item's copies in different site orders, but wait-die on TxnID
+	// breaks each would-be cross-site cycle at once by aborting its
+	// younger member, so the budget only bounds waits on a slow or
+	// stalled holder.
 	LockWaitBudget time.Duration
 	// WALDir is where each pass puts its write-ahead-logged stores; empty
 	// uses a temporary directory removed afterwards.

@@ -47,9 +47,9 @@ func (c WANBenchConfig) withDefaults() WANBenchConfig {
 	if c.Base.AckTimeout == 0 {
 		c.Base.AckTimeout = 2 * time.Second
 	}
-	// 256 items keeps write-write conflict (and with it the cross-site
-	// deadlocks that resolve only by lock timeout) rare enough that the
-	// comparison measures the commit protocol, not the deadlock detector.
+	// 256 items keeps write-write conflict (and with it the wait-die
+	// aborts of would-be cross-site deadlocks) rare enough that the
+	// comparison measures the commit protocol, not lock conflicts.
 	c.Base = c.Base.withDefaults(6, 256, 5)
 	if c.Profile == "" {
 		c.Profile = "wan3"

@@ -41,12 +41,14 @@ func BenchmarkContendedHandoff(b *testing.B) {
 	defer m.Close()
 	const item = core.ItemID(7)
 	b.ResetTimer()
-	prev := core.TxnID(1)
+	// IDs count down so each waiter is older than the holder it queues
+	// behind (wait-die lets only older transactions wait).
+	prev := core.TxnID(^uint64(0))
 	if err := m.Acquire(prev, item, Exclusive); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		next := core.TxnID(i + 2)
+		next := prev - 1
 		done := make(chan error, 1)
 		go func() { done <- m.Acquire(next, item, Exclusive) }()
 		m.Release(prev)

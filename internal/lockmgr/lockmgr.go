@@ -1,6 +1,6 @@
 // Package lockmgr implements a strict two-phase-locking lock manager with
-// shared/exclusive item locks, lock upgrades, FIFO fairness, waits-for
-// deadlock detection and acquisition timeouts.
+// shared/exclusive item locks, lock upgrades, FIFO fairness, wait-die
+// deadlock prevention and acquisition timeouts.
 //
 // The paper's mini-RAID deliberately factored concurrency control out
 // ("our system did not include concurrency control and transactions were
@@ -11,16 +11,25 @@
 // anchors the paper's fail-lock analogy ("this idea is adopted from the
 // concept of a lock in concurrency control algorithms", §1.1).
 //
+// Deadlocks are prevented, not detected: wait-die on TxnID. A
+// transaction's age is its TxnID (lower is older); IDs are global, so
+// every site agrees on it. A request that cannot be granted waits only if
+// it is older than every other holder and queued request of the item;
+// otherwise it fails at once with ErrDeadlock. Every wait edge therefore
+// points from an older to a younger transaction, at every site, and no
+// waits-for cycle can form, local or across sites. Counting every other
+// holder and queued request, not only conflicting ones, keeps the rule
+// sound for upgrades and FIFO head-of-line waits. Scrub batches draw IDs
+// from 3<<32, above every foreground ID, so they are always the youngest:
+// they die rather than delay a foreground writer. The acquisition
+// timeout remains only as a backstop for a slow or stalled holder (for
+// example a participant whose coordinator died before its decision).
+//
 // The lock table is sharded into stripes keyed by item hash, so
 // transactions touching disjoint items take disjoint mutexes and the
 // manager scales with the concurrency degree instead of serializing every
-// grant behind one lock. Grants, releases and timeouts touch only the
-// item's stripe; deadlock detection is the one cross-stripe operation: it
-// locks all stripes in index order (a fixed order, so two concurrent
-// detections cannot deadlock on the stripe mutexes themselves) and builds
-// the global waits-for graph. Detection runs only when a transaction is
-// forced to wait — the contended path, where its cost is already dwarfed
-// by the wait itself.
+// grant behind one lock. Grants, releases, timeouts and wait-die checks
+// touch only the item's stripe; only Stats and Close lock every stripe.
 package lockmgr
 
 import (
@@ -53,8 +62,9 @@ func (m Mode) String() string {
 
 // Errors returned by Acquire.
 var (
-	// ErrDeadlock is returned to the transaction chosen as deadlock
-	// victim. The victim should release its locks and retry.
+	// ErrDeadlock is returned, without waiting, to a request that would
+	// have to wait behind an older transaction (wait-die). The victim
+	// should release its locks and retry.
 	ErrDeadlock = errors.New("lockmgr: deadlock victim")
 	// ErrTimeout is returned when the lock was not granted in time.
 	ErrTimeout = errors.New("lockmgr: acquisition timed out")
@@ -64,7 +74,7 @@ var (
 
 // defaultStripes is the lock-table shard count. Power of two so stripe
 // selection is a mask; 16 comfortably exceeds plausible ConcurrentTxns
-// degrees while keeping the all-stripes deadlock sweep cheap.
+// degrees while keeping the all-stripes Stats and Close sweeps cheap.
 const defaultStripes = 16
 
 // maxStripes caps the shard count so a transaction's touched-stripe set
@@ -117,8 +127,8 @@ type Manager struct {
 }
 
 // New returns a manager with the given acquisition timeout (0 means wait
-// forever, relying on deadlock detection alone) and the default stripe
-// count.
+// forever: wait-die rules out deadlock, so only a holder that never
+// releases can block a waiter) and the default stripe count.
 func New(timeout time.Duration) *Manager {
 	return NewSharded(timeout, defaultStripes)
 }
@@ -178,7 +188,7 @@ func (m *Manager) takeTouched(txn core.TxnID) uint64 {
 }
 
 // lockAll locks every stripe in index order (the canonical order that
-// makes cross-stripe operations mutually deadlock-free).
+// makes concurrent Stats and Close calls mutually deadlock-free).
 func (m *Manager) lockAll() {
 	for _, s := range m.stripes {
 		s.mu.Lock()
@@ -192,9 +202,10 @@ func (m *Manager) unlockAll() {
 	}
 }
 
-// Acquire obtains item in mode for txn, blocking until granted, deadlock,
-// timeout or Close. Re-acquiring a held lock is a no-op; acquiring
-// Exclusive over a held Shared upgrades (waiting for other readers to
+// Acquire obtains item in mode for txn, blocking until granted, timeout or
+// Close, or failing at once with ErrDeadlock when an older transaction
+// holds or awaits item. Re-acquiring a held lock is a no-op; acquiring
+// Exclusive over a held Shared upgrades (waiting for younger readers to
 // drain).
 func (m *Manager) Acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 	idx := m.stripeIdx(item)
@@ -223,15 +234,17 @@ func (m *Manager) Acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 		return nil
 	}
 
-	// Queue and wait.
+	// Wait-die: only an older transaction may wait. A younger one dies
+	// at once if any other holder or queued request is older, so every
+	// wait edge points from older to younger and no cycle can form.
+	if ls.hasOlder(txn) {
+		st.mu.Unlock()
+		return fmt.Errorf("%w: txn %d on item %d (%s)", ErrDeadlock, txn, item, mode)
+	}
 	req := &request{txn: txn, item: item, mode: mode, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, req)
 	st.waits[txn] = req
 	st.mu.Unlock()
-
-	// A new waiter may close a cycle; detection needs the global graph,
-	// so it runs outside the single-stripe critical section.
-	m.detectDeadlock()
 
 	var timeoutCh <-chan time.Time
 	if m.timeout > 0 {
@@ -446,6 +459,23 @@ func (st *stripe) promote(ls *lockState, item core.ItemID) {
 	}
 }
 
+// hasOlder reports whether any holder or queued request other than txn's
+// own belongs to an older (lower-ID) transaction. Callers hold the stripe
+// mutex.
+func (ls *lockState) hasOlder(txn core.TxnID) bool {
+	for other := range ls.holders {
+		if other < txn {
+			return true
+		}
+	}
+	for _, req := range ls.queue {
+		if req.txn < txn {
+			return true
+		}
+	}
+	return false
+}
+
 // compatibleIgnoringSelf reports whether req conflicts with any holder
 // other than its own transaction. Callers hold the stripe mutex.
 func compatibleIgnoringSelf(ls *lockState, req *request) bool {
@@ -458,110 +488,6 @@ func compatibleIgnoringSelf(ls *lockState, req *request) bool {
 		}
 	}
 	return true
-}
-
-// detectDeadlock locks all stripes, builds the global waits-for graph,
-// and aborts the victim of any cycle found. Runs after a transaction
-// queues (the only event that can close a cycle).
-func (m *Manager) detectDeadlock() {
-	m.lockAll()
-	defer m.unlockAll()
-	victim := m.findDeadlockVictimLocked()
-	if victim == core.NoTxn {
-		return
-	}
-	for _, st := range m.stripes {
-		if req, ok := st.waits[victim]; ok {
-			st.dropWaiter(req)
-			req.ready <- fmt.Errorf("%w: txn %d", ErrDeadlock, victim)
-			return
-		}
-	}
-}
-
-// findDeadlockVictimLocked builds the waits-for graph across all stripes
-// and returns a transaction on a cycle (the youngest, i.e. highest
-// TxnID), or NoTxn. Callers hold every stripe mutex.
-func (m *Manager) findDeadlockVictimLocked() core.TxnID {
-	// waits-for: waiting txn -> each conflicting holder.
-	var edges map[core.TxnID][]core.TxnID
-	waiting := make(map[core.TxnID]bool)
-	for _, st := range m.stripes {
-		for txn := range st.waits {
-			waiting[txn] = true
-		}
-		for _, ls := range st.items {
-			for _, req := range ls.queue {
-				for holder, holderMode := range ls.holders {
-					if holder == req.txn {
-						continue
-					}
-					if req.mode == Exclusive || holderMode == Exclusive {
-						if edges == nil {
-							edges = make(map[core.TxnID][]core.TxnID)
-						}
-						edges[req.txn] = append(edges[req.txn], holder)
-					}
-				}
-			}
-		}
-	}
-	// DFS cycle detection.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[core.TxnID]int)
-	var cycle []core.TxnID
-	var dfs func(t core.TxnID, stack []core.TxnID) bool
-	dfs = func(t core.TxnID, stack []core.TxnID) bool {
-		color[t] = grey
-		stack = append(stack, t)
-		for _, next := range edges[t] {
-			switch color[next] {
-			case grey:
-				// Found a cycle: slice the stack from next.
-				for i, s := range stack {
-					if s == next {
-						cycle = append([]core.TxnID(nil), stack[i:]...)
-						return true
-					}
-				}
-			case white:
-				if dfs(next, stack) {
-					return true
-				}
-			}
-		}
-		color[t] = black
-		return false
-	}
-	for t := range edges {
-		if color[t] == white && dfs(t, nil) {
-			break
-		}
-	}
-	if len(cycle) == 0 {
-		return core.NoTxn
-	}
-	victim := cycle[0]
-	for _, t := range cycle[1:] {
-		if t > victim {
-			victim = t // youngest transaction dies
-		}
-	}
-	// Only a waiter can be woken with an error; if the chosen victim is
-	// not waiting, pick the youngest waiting member of the cycle.
-	if !waiting[victim] {
-		victim = core.NoTxn
-		for _, t := range cycle {
-			if waiting[t] && t > victim {
-				victim = t
-			}
-		}
-	}
-	return victim
 }
 
 // dropWaiter removes a request from its item's queue and the wait index.

@@ -28,16 +28,64 @@ func TestSharedLocksCoexist(t *testing.T) {
 	}
 }
 
+// mustDie asserts that txn's request fails with ErrDeadlock at once
+// (wait-die), without leaving a queued request behind. Callers use a
+// timeout of 10s or none, so dying within 500ms is well inside it.
+func mustDie(t *testing.T, m *Manager, txn core.TxnID, item core.ItemID, mode Mode) {
+	t.Helper()
+	_, waitersBefore := m.Stats()
+	start := time.Now()
+	err := m.Acquire(txn, item, mode)
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("txn %d took %v to die", txn, elapsed)
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("txn %d on item %d: err = %v, want ErrDeadlock", txn, item, err)
+	}
+	if _, waiters := m.Stats(); waiters != waitersBefore {
+		t.Errorf("dying request left %d waiters, want %d", waiters, waitersBefore)
+	}
+}
+
+// waitFor asserts that an acquisition blocks for a while, then returns a
+// channel carrying its eventual result.
+func waitFor(t *testing.T, m *Manager, txn core.TxnID, item core.ItemID, mode Mode) <-chan error {
+	t.Helper()
+	got := make(chan error, 1)
+	go func() { got <- m.Acquire(txn, item, mode) }()
+	select {
+	case err := <-got:
+		t.Fatalf("txn %d on item %d returned %v, want it to wait", txn, item, err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return got
+}
+
+// granted asserts that a waiting acquisition completes without error.
+func granted(t *testing.T, got <-chan error) {
+	t.Helper()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("waiter never granted")
+	}
+}
+
+// The holder is the youngest transaction, so both requests wait (wait-die
+// lets older transactions wait) and run out the timeout.
 func TestExclusiveBlocksOthers(t *testing.T) {
 	m := New(50 * time.Millisecond)
 	defer m.Close()
-	if err := m.Acquire(1, 3, Exclusive); err != nil {
+	if err := m.Acquire(3, 3, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Acquire(2, 3, Shared); !errors.Is(err, ErrTimeout) {
 		t.Errorf("shared under exclusive: %v", err)
 	}
-	if err := m.Acquire(3, 3, Exclusive); !errors.Is(err, ErrTimeout) {
+	if err := m.Acquire(1, 3, Exclusive); !errors.Is(err, ErrTimeout) {
 		t.Errorf("exclusive under exclusive: %v", err)
 	}
 }
@@ -45,23 +93,14 @@ func TestExclusiveBlocksOthers(t *testing.T) {
 func TestReleaseWakesWaiter(t *testing.T) {
 	m := New(5 * time.Second)
 	defer m.Close()
-	m.Acquire(1, 7, Exclusive)
-	got := make(chan error, 1)
-	go func() { got <- m.Acquire(2, 7, Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
-	m.Release(1)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter never woke")
-	}
-	if _, ok := m.Holds(1, 7); ok {
+	m.Acquire(2, 7, Exclusive)
+	got := waitFor(t, m, 1, 7, Exclusive) // older waiter
+	m.Release(2)
+	granted(t, got)
+	if _, ok := m.Holds(2, 7); ok {
 		t.Error("released lock still held")
 	}
-	if mode, ok := m.Holds(2, 7); !ok || mode != Exclusive {
+	if mode, ok := m.Holds(1, 7); !ok || mode != Exclusive {
 		t.Error("waiter did not get the lock")
 	}
 }
@@ -120,27 +159,20 @@ func TestUpgradeWaitsForReaders(t *testing.T) {
 func TestFIFOFairnessNoReaderOvertaking(t *testing.T) {
 	m := New(5 * time.Second)
 	defer m.Close()
-	m.Acquire(1, 4, Shared)
-	// Writer queues behind the reader.
-	writerDone := make(chan error, 1)
-	go func() { writerDone <- m.Acquire(2, 4, Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
-	// A new reader must NOT overtake the queued writer.
-	readerDone := make(chan error, 1)
-	go func() { readerDone <- m.Acquire(3, 4, Shared) }()
+	m.Acquire(3, 4, Shared)
+	// An older writer queues behind the reader.
+	writerDone := waitFor(t, m, 2, 4, Exclusive)
+	// A new, still older reader must NOT overtake the queued writer.
+	readerDone := waitFor(t, m, 1, 4, Shared)
+	m.Release(3)
+	granted(t, writerDone)
 	select {
 	case <-readerDone:
 		t.Fatal("late reader overtook queued writer (writer starvation)")
 	case <-time.After(30 * time.Millisecond):
 	}
-	m.Release(1)
-	if err := <-writerDone; err != nil {
-		t.Fatal(err)
-	}
 	m.Release(2)
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
+	granted(t, readerDone)
 }
 
 func TestDeadlockDetected(t *testing.T) {
@@ -148,30 +180,11 @@ func TestDeadlockDetected(t *testing.T) {
 	defer m.Close()
 	m.Acquire(1, 10, Exclusive)
 	m.Acquire(2, 20, Exclusive)
-	r1 := make(chan error, 1)
-	go func() { r1 <- m.Acquire(1, 20, Exclusive) }() // 1 waits on 2
-	time.Sleep(20 * time.Millisecond)
-	r2 := make(chan error, 1)
-	go func() { r2 <- m.Acquire(2, 10, Exclusive) }() // 2 waits on 1: cycle
-
-	// The youngest (txn 2) must die; txn 1 proceeds after 2 releases.
-	select {
-	case err := <-r2:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("victim error = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("deadlock not detected")
-	}
+	r1 := waitFor(t, m, 1, 20, Exclusive) // older 1 waits on 2
+	// Younger 2 would close the cycle: it dies at once instead of waiting.
+	mustDie(t, m, 2, 10, Exclusive)
 	m.Release(2)
-	select {
-	case err := <-r1:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("survivor never granted")
-	}
+	granted(t, r1)
 }
 
 func TestThreeWayDeadlock(t *testing.T) {
@@ -180,21 +193,53 @@ func TestThreeWayDeadlock(t *testing.T) {
 	m.Acquire(1, 1, Exclusive)
 	m.Acquire(2, 2, Exclusive)
 	m.Acquire(3, 3, Exclusive)
-	errs := make(chan error, 3)
-	go func() { errs <- m.Acquire(1, 2, Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	go func() { errs <- m.Acquire(2, 3, Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	go func() { errs <- m.Acquire(3, 1, Exclusive) }()
+	r1 := waitFor(t, m, 1, 2, Exclusive)
+	r2 := waitFor(t, m, 2, 3, Exclusive)
+	// Txn 3 would close the cycle behind the oldest holder: it dies, and
+	// its release lets the chain drain in age order.
+	mustDie(t, m, 3, 1, Exclusive)
+	m.Release(3)
+	granted(t, r2)
+	m.Release(2)
+	granted(t, r1)
+}
 
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("first completion = %v, want deadlock victim", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("three-way deadlock not detected")
+// An older request waits behind a younger holder (and behind younger
+// queued requests) and is granted once they release; a request younger
+// than a queued waiter dies even though it is older than the holder.
+func TestOlderWaitsForYounger(t *testing.T) {
+	m := New(10 * time.Second)
+	defer m.Close()
+	if err := m.Acquire(5, 8, Exclusive); err != nil {
+		t.Fatal(err)
 	}
+	r3 := waitFor(t, m, 3, 8, Exclusive)
+	mustDie(t, m, 4, 8, Shared) // txn 3 is queued and older
+	r1 := waitFor(t, m, 1, 8, Shared)
+	m.Release(5)
+	granted(t, r3)
+	m.Release(3)
+	granted(t, r1)
+	if mode, ok := m.Holds(1, 8); !ok || mode != Shared {
+		t.Errorf("txn 1 holds %v %v", mode, ok)
+	}
+}
+
+// An upgrade dies when another holder of the item is older, and the
+// failed upgrade leaves the shared lock in place.
+func TestUpgradeDiesBehindOlderHolder(t *testing.T) {
+	m := New(10 * time.Second)
+	defer m.Close()
+	m.Acquire(1, 2, Shared)
+	m.Acquire(2, 2, Shared)
+	mustDie(t, m, 2, 2, Exclusive)
+	if mode, ok := m.Holds(2, 2); !ok || mode != Shared {
+		t.Errorf("txn 2 holds %v %v after failed upgrade", mode, ok)
+	}
+	// The older holder's upgrade waits for the younger reader instead.
+	r1 := waitFor(t, m, 1, 2, Exclusive)
+	m.Release(2)
+	granted(t, r1)
 }
 
 func TestAcquireAllOrdersItems(t *testing.T) {
@@ -217,10 +262,8 @@ func TestAcquireAllOrdersItems(t *testing.T) {
 
 func TestCloseFailsWaiters(t *testing.T) {
 	m := New(10 * time.Second)
-	m.Acquire(1, 1, Exclusive)
-	got := make(chan error, 1)
-	go func() { got <- m.Acquire(2, 1, Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
+	m.Acquire(2, 1, Exclusive)
+	got := waitFor(t, m, 1, 1, Exclusive) // older waiter
 	m.Close()
 	select {
 	case err := <-got:
@@ -249,16 +292,16 @@ func TestReleaseWithoutLocksIsNoop(t *testing.T) {
 func TestStats(t *testing.T) {
 	m := New(5 * time.Second)
 	defer m.Close()
-	m.Acquire(1, 1, Exclusive)
-	m.Acquire(1, 2, Shared)
-	go m.Acquire(2, 1, Shared)
-	time.Sleep(20 * time.Millisecond)
+	m.Acquire(2, 1, Exclusive)
+	m.Acquire(2, 2, Shared)
+	got := waitFor(t, m, 1, 1, Shared) // older waiter
 	locked, waiters := m.Stats()
 	if locked != 2 || waiters != 1 {
 		t.Errorf("stats = %d locked, %d waiting", locked, waiters)
 	}
-	m.Release(1)
 	m.Release(2)
+	granted(t, got)
+	m.Release(1)
 	locked, waiters = m.Stats()
 	if locked != 0 || waiters != 0 {
 		t.Errorf("after release: %d %d (lock table must shrink)", locked, waiters)

@@ -1,7 +1,6 @@
 package lockmgr
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,11 +22,11 @@ func TestStripeCountRounding(t *testing.T) {
 	}
 }
 
-// TestCrossStripeDeadlock builds a cycle whose two items live on
-// different stripes, so detection only succeeds if the waits-for graph is
-// assembled across the whole table, not per stripe.
+// TestCrossStripeDeadlock attempts a cycle whose two items live on
+// different stripes. Wait-die needs no cross-stripe view: the younger
+// transaction dies on the second item's stripe alone.
 func TestCrossStripeDeadlock(t *testing.T) {
-	m := NewSharded(0, 8) // no timeout: only detection can break the cycle
+	m := NewSharded(0, 8) // no timeout: only wait-die can break the cycle
 	defer m.Close()
 
 	// Find two items on different stripes.
@@ -43,29 +42,11 @@ func TestCrossStripeDeadlock(t *testing.T) {
 	if err := m.Acquire(2, b, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, 2)
-	go func() { errs <- m.Acquire(1, b, Exclusive) }()
-	time.Sleep(20 * time.Millisecond) // let txn 1 queue first
-	go func() { errs <- m.Acquire(2, a, Exclusive) }()
-
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("got %v, want ErrDeadlock", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cross-stripe deadlock never detected")
-	}
+	r1 := waitFor(t, m, 1, b, Exclusive)
+	mustDie(t, m, 2, a, Exclusive)
 	// The survivor completes once the victim releases.
-	m.Release(2) // victim was the youngest (txn 2)
-	select {
-	case err := <-errs:
-		if err != nil {
-			t.Fatalf("survivor got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("survivor never granted")
-	}
+	m.Release(2)
+	granted(t, r1)
 }
 
 // TestStripedStress hammers the striped table from many goroutines over

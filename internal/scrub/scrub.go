@@ -47,7 +47,10 @@ const (
 // transactions number from 1 (or the soak's TxnIDBase) and admin traces
 // live at trace.AdminBase (1<<32); the scrubber draws from its own
 // disjoint space so background repairs never perturb the foreground
-// numbering that reproducibility checks fingerprint.
+// numbering that reproducibility checks fingerprint. Lying above every
+// foreground ID also makes scrub batches the youngest transactions under
+// the lock manager's wait-die rule: in concurrent mode they abort rather
+// than delay a foreground writer.
 const txnIDBase = uint64(3) << 32
 
 // passTraceBase offsets per-pass trace span IDs, disjoint from both

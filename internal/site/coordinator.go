@@ -27,9 +27,9 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 
 	// Concurrent mode: strict 2PL — shared locks on the read set,
 	// exclusive on the write set, held until the transaction completes.
-	// Failures here are retriable aborts, reported distinctly: a deadlock
-	// victim (local waits-for cycle) versus a lock-wait timeout
-	// (contention, or a distributed cycle only the timeout can break).
+	// Failures here are retriable aborts, reported distinctly: a wait-die
+	// victim (an older transaction holds or awaits the lock) versus a
+	// lock-wait timeout (a holder slower than the budget, or stalled).
 	if s.concurrent() {
 		lm := s.lockManager()
 		if err := lm.AcquireAll(t.ID, core.ReadSet(t.Ops), core.WriteSet(t.Ops)); err != nil {

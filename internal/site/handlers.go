@@ -97,8 +97,8 @@ func (s *Site) handlePrepare(env *msg.Envelope, body *msg.Prepare) {
 
 	// Concurrent mode: take exclusive locks on this copy of the write
 	// set before staging — the participant half of distributed 2PL. A
-	// deadlock or timeout is a retriable NACK, with the reason preserved
-	// so the coordinator's abort keeps the two distinguishable.
+	// wait-die death or timeout is a retriable NACK, with the reason
+	// preserved so the coordinator's abort keeps the two distinguishable.
 	var lm *lockmgr.Manager
 	if s.concurrent() {
 		lm = s.lockManager()

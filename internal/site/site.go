@@ -176,8 +176,9 @@ type Config struct {
 	// set at the coordinator, exclusive locks on every copy of the write
 	// set (acquired at prepare), all held until commit or abort. Values
 	// of 0 or 1 keep the paper's serial processing (assumption 2).
-	// Requires ROWAA and full replication. Distributed deadlocks resolve
-	// by lock-acquisition timeout (transactions abort retriably).
+	// Requires ROWAA and full replication. Deadlocks, local or across
+	// sites, are prevented by wait-die on TxnID: a transaction that would
+	// wait behind an older one aborts retriably at once.
 	//
 	// Recovery (the type-1 control transaction) should be initiated
 	// during a write-quiescent period: session-vector checks abort
@@ -200,13 +201,15 @@ type Config struct {
 	// absorb the flush delay without suspecting the coordinator.
 	CommitEpoch time.Duration
 	// LockWaitBudget bounds how long a concurrent-mode transaction waits
-	// for one lock before aborting with a retriable timeout. Zero
-	// defaults to AckTimeout/2. It must stay well under AckTimeout: a
-	// participant blocked on locks longer than the coordinator's patience
-	// would be mistaken for a failed site, and a lock wait must surface
-	// as a retriable NACK, never as a spurious type-2 announcement. At
-	// higher ConcurrentTxns degrees a larger fraction of AckTimeout (or a
-	// larger AckTimeout) reduces spurious contention aborts.
+	// for one lock before aborting with a retriable timeout. Wait-die
+	// already rules out deadlock, local or across sites, so the budget is
+	// only a backstop for a holder that is slower than the budget or
+	// stops making progress (for example a participant whose coordinator
+	// died before its decision timer fired). Zero defaults to AckTimeout/2. It must stay well
+	// under AckTimeout: a participant blocked on locks longer than the
+	// coordinator's patience would be mistaken for a failed site, and a
+	// lock wait must surface as a retriable NACK, never as a spurious
+	// type-2 announcement.
 	LockWaitBudget time.Duration
 	// StartDown boots the site in the failed state: deaf to everything
 	// but managing-site admin traffic until a recover order runs the
@@ -453,9 +456,9 @@ func New(cfg Config, net transport.Network) (*Site, error) {
 func (s *Site) replicaMap() *core.ReplicaMap { return s.replicas.Load() }
 
 // newLockManager builds the 2PL manager for concurrent mode; serial mode
-// (the paper's) needs none. The acquisition timeout (Config.LockWaitBudget)
-// doubles as the distributed-deadlock breaker for cycles spanning sites;
-// local cycles are caught earlier by the waits-for detector.
+// (the paper's) needs none. Its wait-die rule, keyed on the global TxnID,
+// prevents cycles within and across sites; the acquisition timeout
+// (Config.LockWaitBudget) only bounds waits on a slow or stalled holder.
 func newLockManager(cfg Config) *lockmgr.Manager {
 	if cfg.ConcurrentTxns <= 1 {
 		return nil
@@ -464,7 +467,7 @@ func newLockManager(cfg Config) *lockmgr.Manager {
 }
 
 // lockAbortReason maps a lock-acquisition failure to its abort reason,
-// keeping deadlock victims distinguishable from wait timeouts in every
+// keeping wait-die victims distinguishable from wait timeouts in every
 // table downstream.
 func lockAbortReason(err error) string {
 	if errors.Is(err, lockmgr.ErrDeadlock) {

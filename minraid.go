@@ -168,8 +168,10 @@ type ClusterConfig struct {
 	ReplicationDegree int
 	// ConcurrentTxns allows up to this many transactions to execute
 	// interleaved at each site, serialized by distributed strict
-	// two-phase locking with timeout-based deadlock resolution — the
-	// concurrency-control integration the paper defers to future work.
+	// two-phase locking with wait-die deadlock prevention on the
+	// transaction ID (a transaction that would wait behind an older one
+	// aborts retriably) — the concurrency-control integration the paper
+	// defers to future work.
 	// Zero or 1 keeps the paper's serial processing. Requires ROWAA and
 	// full replication.
 	ConcurrentTxns int
